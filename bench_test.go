@@ -1046,11 +1046,19 @@ func BenchmarkJobQueueCacheHit(b *testing.B) {
 // lock individually and the settle rate was the shard's lock rate. The
 // per-op job count (256) is a multiple of the flush threshold so full
 // flushes dominate; cmd/benchgate gates it via BENCH_BASELINE.json.
-func BenchmarkJobQueueSettle(b *testing.B) {
+func BenchmarkJobQueueSettle(b *testing.B) { benchSettle(b, -1) }
+
+// BenchmarkJobQueueSettleCached is BenchmarkJobQueueSettle with
+// lopramd's default 512-entry result cache: every unique job is also
+// inserted into a full cache, evicting the oldest entry, so it prices
+// the cache update a settle flush makes.
+func BenchmarkJobQueueSettleCached(b *testing.B) { benchSettle(b, 512) }
+
+func benchSettle(b *testing.B, cacheSize int) {
 	var seed atomic.Uint64
 	q := jobqueue.New(jobqueue.Config{
 		Workers: 4, Shards: 1,
-		QueueDepth: 8192, CacheSize: -1,
+		QueueDepth: 8192, CacheSize: cacheSize,
 	})
 	defer q.Close()
 	const batch = 256

@@ -152,19 +152,20 @@ func (b *Batch) SubmitSpec(spec *Spec) error {
 		j.signalDone()
 		return err
 	}
-	if q.cal != nil {
-		j.cost = q.cal.estimate(*spec, spec.key().P)
-	}
 	key := spec.key()
+	if q.cal != nil {
+		j.cost = q.cal.estimate(*spec, key.P)
+	}
+	h := key.hash()
 	// Lock-free cache-hit fast path (see Submit): the frame turns
 	// terminal in place without ring publication, a pending count, or —
 	// on an untraced queue — any allocation. The frame never acquires a
 	// notify hook, mirroring the validation-refusal path above, so
 	// Wait/Outcome/Release semantics are unchanged.
 	if p := q.place.Load(); p != nil {
-		s := p.shardFor(key)
-		if idx := s.cacheIdx.Load(); idx != nil {
-			if e, ok := (*idx)[key]; ok {
+		s := p.shardForHash(h)
+		if c := s.cacheIdx.Load(); c != nil {
+			if e, ok := c.lookup(key, h); ok {
 				j.ID = q.newID(s.idx)
 				j.submitShard = s.idx
 				j.submitEpoch = p.epoch
@@ -189,7 +190,7 @@ func (b *Batch) SubmitSpec(spec *Spec) error {
 	b.pending.Add(1)
 	for {
 		p := q.place.Load()
-		s := p.shardFor(key)
+		s := p.shardForHash(h)
 		switch s.ring.publish(j) {
 		case ringOK:
 			q.kickWorkers()

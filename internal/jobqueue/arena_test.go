@@ -224,6 +224,9 @@ func TestBatchCoalescePinsEscapedFrame(t *testing.T) {
 // the shard ring — allocates nothing per job. Workers are parked so the
 // measured region is exactly the publication path.
 func TestBatchSubmitZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so the arena allocates")
+	}
 	q := New(Config{Workers: 1, Shards: 1, QueueDepth: 4096})
 	defer q.Close()
 	release := blockWorkers(t, q, 1)
@@ -257,6 +260,9 @@ func TestBatchSubmitZeroAllocs(t *testing.T) {
 // too: with no sink configured, ingest skips record construction and the
 // frame never even renders a name.
 func TestBatchCachedServeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so the arena allocates")
+	}
 	q := New(Config{Workers: 1, Shards: 1, QueueDepth: 4096, CacheSize: 1024})
 	defer q.Close()
 	spec := simSpec(7)

@@ -34,6 +34,10 @@ const completionFlushK = 32
 type completion struct {
 	job *Job
 	key Key // zero for func jobs
+	// hash places the outcome on its home shard under any table: the
+	// key's hash, or the func job's name hash. Keyed jobs reuse it for
+	// the cache insert.
+	hash uint64
 	// name keys the per-algorithm aggregate (the algorithm, or the func
 	// job's name); cacheName is the job's full rendered name, stored in
 	// the cache entry so hits never re-render it — rendered lazily at
@@ -105,12 +109,17 @@ func (q *Queue) bufferCompletion(ws *workerState, job *Job, res Result, err erro
 		name = job.Name
 	}
 	var key Key
+	var h uint64
 	if job.fn == nil {
 		key = job.Spec.key()
+		h = key.hash()
+	} else {
+		h = hashString(job.Name)
 	}
 	ws.buf = append(ws.buf, completion{
 		job:       job,
 		key:       key,
+		hash:      h,
 		name:      name,
 		cacheName: job.Name,
 		res:       res,
@@ -127,8 +136,8 @@ func (q *Queue) bufferCompletion(ws *workerState, job *Job, res Result, err erro
 //
 // Phase 1 lands the keyed state — inflight-entry delete and cache
 // insert — on each outcome's home shard under the *current* placement
-// table, one lock acquisition per home shard per pass, republishing the
-// shard's lock-free read index once per dirtied shard. A shard caught
+// table, one lock acquisition per home shard per pass; the cache insert
+// is visible to lock-free readers the moment it lands. A shard caught
 // mid-retirement is skipped and the pass retried against the new table
 // (per-item published flags keep landed items from re-publishing), the
 // same forwarding rule the per-job settle used: results land where
@@ -153,11 +162,7 @@ func (q *Queue) flushCompletions(ws *workerState) {
 			if c.published {
 				continue
 			}
-			if c.job.fn == nil {
-				c.shard = shardIndexFor(c.key, n)
-			} else {
-				c.shard = shardIndexForName(c.job.Name, n)
-			}
+			c.shard = shardIndexForHash(c.hash, n)
 			unpublished++
 		}
 		if unpublished == 0 {
@@ -182,7 +187,6 @@ func (q *Queue) flushCompletions(ws *workerState) {
 				retry = true
 				continue
 			}
-			dirty := false
 			for i := range ws.buf {
 				c := &ws.buf[i]
 				if c.published || c.shard != si {
@@ -199,15 +203,11 @@ func (q *Queue) flushCompletions(ws *workerState) {
 							// hit is served without rendering.
 							c.cacheName = c.job.Spec.String()
 						}
-						s.cache.put(c.key, c.cacheName, c.res)
-						dirty = true
+						s.cache.insert(c.key, c.hash, c.cacheName, c.res)
 					}
 				}
 				c.epoch = p.epoch
 				c.published = true
-			}
-			if dirty {
-				s.republishReadIndex()
 			}
 			s.mu.Unlock()
 		}
@@ -275,19 +275,4 @@ func (q *Queue) flushCompletions(ws *workerState) {
 		*c = completion{}
 	}
 	ws.buf = ws.buf[:0]
-}
-
-// republishReadIndex rebuilds the shard's lock-free cache read index
-// from the locked LRU and publishes it atomically. The caller holds
-// s.mu (or owns the shard exclusively: Resize builds unpublished
-// tables lock-free). Skipped on closed shards — Close clears the index
-// so post-shutdown submissions fall through to the locked path's
-// ErrClosed — and when caching is disabled.
-func (s *shard) republishReadIndex() {
-	if s.closed || s.cache == nil || s.cache.cap <= 0 {
-		return
-	}
-	m := make(map[Key]cached, s.cache.len())
-	s.cache.each(func(k Key, name string, r Result) { m[k] = cached{name: name, res: r} })
-	s.cacheIdx.Store(&m)
 }

@@ -151,8 +151,8 @@ func TestCacheHitSubmitAllocs(t *testing.T) {
 	if _, err := warm.Wait(context.Background()); err != nil {
 		t.Fatalf("prime wait: %v", err)
 	}
-	// The priming flush has republished the read index (Wait returns
-	// only after the owning flush), so everything below is fast-path.
+	// The priming flush has inserted the result (Wait returns only
+	// after the owning flush), so everything below is fast-path.
 	release := blockWorkers(t, q, 1)
 	defer release()
 

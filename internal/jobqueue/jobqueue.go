@@ -358,8 +358,8 @@ func (q *Queue) Close() {
 		s.mu.Lock()
 		s.closed = true
 		// Clear the lock-free read index so post-shutdown submissions
-		// miss and fall through to the locked path's ErrClosed; the
-		// closed flag keeps any concurrent flush from republishing it.
+		// miss and fall through to the locked path's ErrClosed; only
+		// newShard ever sets it.
 		s.cacheIdx.Store(nil)
 		s.mu.Unlock()
 	}
@@ -442,16 +442,18 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 		return nil, err
 	}
 	key := spec.key()
+	h := key.hash()
 	// Lock-free cache-hit fast path: serve the hit from the home shard's
-	// immutable read index without touching its mutex. A hit that races
-	// an insert, eviction, resize migration or shutdown linearizes
-	// before it — the index snapshot was the cache's published contents,
-	// and cached results are immutable. Misses (index nil, caching off,
-	// key absent) fall through to the locked pipeline below.
+	// cache without touching its mutex. A hit that races an insert,
+	// eviction, resize migration or shutdown linearizes before it — the
+	// entry was in the cache when its slot was loaded, and cached results
+	// are immutable. Misses (index nil, caching off, key absent, or a
+	// probe that raced an eviction's shift) fall through to the locked
+	// pipeline below.
 	if p := q.place.Load(); p != nil {
-		s := p.shardFor(key)
-		if idx := s.cacheIdx.Load(); idx != nil {
-			if e, ok := (*idx)[key]; ok {
+		s := p.shardForHash(h)
+		if c := s.cacheIdx.Load(); c != nil {
+			if e, ok := c.lookup(key, h); ok {
 				now := time.Now()
 				// The entry's rendered name rides along so the hit does
 				// not re-render the spec.
@@ -478,7 +480,7 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 	}
 	for {
 		p := q.place.Load()
-		s := p.shardFor(key)
+		s := p.shardForHash(h)
 		now := time.Now()
 		s.mu.Lock()
 		if s.retired {
@@ -493,9 +495,11 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 			q.perClass[class].rejected.Add(1)
 			return nil, ErrClosed
 		}
-		if e, ok := s.cache.get(key); ok {
-			// The locked twin of the fast path above, for hits the read
-			// index has not republished yet. Like the fast path, the hit
+		if e, ok := s.cache.lookup(key, h); ok {
+			// The locked twin of the fast path above, for hits it missed
+			// (an insert that landed after its probe, a shard retired
+			// under a stale table, or a probe that raced an eviction's
+			// shift). Like the fast path, the hit
 			// job is not retained for Get/Jobs: the caller holds the only
 			// handle, matching the pooled batch hit semantics.
 			job := newJob(q.newID(s.idx), e.name, spec, nil, now)

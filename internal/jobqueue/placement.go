@@ -30,10 +30,13 @@ type placement struct {
 // visit.
 
 // shardIndexFor routes a spec key on an n-shard table.
-func shardIndexFor(key Key, n int) int { return int(key.hash() % uint64(n)) }
+func shardIndexFor(key Key, n int) int { return shardIndexForHash(key.hash(), n) }
 
 // shardIndexForName routes a func job's name on an n-shard table.
-func shardIndexForName(name string, n int) int { return int(hashString(name) % uint64(n)) }
+func shardIndexForName(name string, n int) int { return shardIndexForHash(hashString(name), n) }
+
+// shardIndexForHash routes an already-hashed key or name.
+func shardIndexForHash(h uint64, n int) int { return int(h % uint64(n)) }
 
 // shardIndexForID routes a job ID on an n-shard table: the ID's birth
 // shard index (its low shardBits) reduced modulo the current count —
@@ -42,8 +45,12 @@ func shardIndexForName(name string, n int) int { return int(hashString(name) % u
 func shardIndexForID(id uint64, n int) int { return int(id&(MaxShards-1)) % n }
 
 // shardFor returns the home shard of a spec key in this epoch.
-func (p *placement) shardFor(key Key) *shard {
-	return p.shards[shardIndexFor(key, len(p.shards))]
+func (p *placement) shardFor(key Key) *shard { return p.shardForHash(key.hash()) }
+
+// shardForHash is shardFor for a caller that already holds the key's
+// hash and reuses it for the cache probe.
+func (p *placement) shardForHash(h uint64) *shard {
+	return p.shards[shardIndexForHash(h, len(p.shards))]
 }
 
 // shardForName returns the home shard of a func job's name in this epoch.
@@ -223,8 +230,9 @@ func (q *Queue) Resize(n int) (uint64, error) {
 		// counters live on — the shard joins q.retiredShards below so
 		// late increments from a racing dequeue are never lost from the
 		// totals. The read index is cleared so a stale fast-path load
-		// cannot outlive the shard by more than the pointer it already
-		// holds (which still serves immutable, once-valid results).
+		// cannot outlive the shard by more than the cache it already
+		// holds, which is no longer written and so keeps serving only
+		// entries that were present when the shard retired.
 		s.byID, s.inflight, s.retained = nil, nil, nil
 		s.cache = newLRU(0)
 		s.cacheIdx.Store(nil)
@@ -253,13 +261,6 @@ func (q *Queue) Resize(n int) (uint64, error) {
 	for _, j := range ringBacklog {
 		q.ingestLocked(shards[shardIndexFor(j.Spec.key(), n)], old.epoch+1, j)
 	}
-	// Publish each new shard's lock-free read index now that its cache
-	// holds the full migrated (plus re-ingested) contents, so fast-path
-	// hits work from the first instant the table is visible.
-	for _, ns := range shards {
-		ns.republishReadIndex()
-	}
-
 	// A table wider than the worker pool would leave shards with no home
 	// worker; grow the pool to keep the ≥1-worker-per-shard invariant.
 	// The pool size is fixed before publication so the new table carries

@@ -3,7 +3,6 @@ package jobqueue
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,13 +63,14 @@ type shard struct {
 	limit    int // retention bound for this shard
 
 	// cacheIdx is the lock-free read side of the result cache: an atomic
-	// pointer to an immutable snapshot of the LRU's contents, republished
-	// by whoever mutates the cache under mu (republishReadIndex). Submit
-	// and Batch.Submit serve cache hits from it without touching mu; a
-	// hit races a concurrent insert/eviction/resize only by linearizing
-	// before it, which is sound because cached results are immutable.
-	// Nil when caching is disabled, after Close, and on retired shards.
-	cacheIdx atomic.Pointer[map[Key]cached]
+	// pointer to the same cache, whose table is updated in place under mu
+	// and readable without it (see lru). Submit and Batch.Submit serve
+	// cache hits from it without touching mu; each hit is an entry that
+	// was present when its slot was loaded, so it linearizes before any
+	// concurrent eviction, refresh or resize migration, and cached
+	// results are immutable. Nil when caching is disabled, after Close,
+	// and on retired shards.
+	cacheIdx atomic.Pointer[lru]
 
 	pending  atomic.Int64 // jobs admitted here, not yet started
 	executed atomic.Int64 // runs of jobs homed here (by any worker)
@@ -98,6 +98,9 @@ func newShard(idx int, depths, caps []int, cacheCap, retain int) *shard {
 	for c, cap := range caps {
 		s.runq[c] = make(chan *Job, cap)
 	}
+	if cacheCap > 0 {
+		s.cacheIdx.Store(s.cache)
+	}
 	return s
 }
 
@@ -113,31 +116,41 @@ func (s *shard) insertLocked(job *Job) {
 
 // hash is the shard-placement hash of a key: FNV-1a over every field, so
 // placement is deterministic across queues and processes with the same
-// shard count, and identical specs always meet on one shard.
+// shard count, and identical specs always meet on one shard. The byte
+// stream is the algorithm, a 0 byte, the engine, a 0 byte, then N, P and
+// Seed as little-endian uint64s — hashed inline rather than through
+// hash/fnv, which would convert every field to a []byte behind an
+// interface.
 func (k Key) hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	h.Write([]byte(k.Algorithm))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Engine))
-	h.Write([]byte{0})
-	for _, v := range [...]uint64{uint64(int64(k.N)), uint64(int64(k.P)), k.Seed} {
-		putUint64LE(&buf, v)
-		h.Write(buf[:])
+	h := fnvString(fnvOffset64, k.Algorithm)
+	h *= fnvPrime64 // the 0 separator byte (h ^ 0 == h)
+	h = fnvString(h, string(k.Engine))
+	h *= fnvPrime64
+	h = fnvUint64(h, uint64(int64(k.N)))
+	h = fnvUint64(h, uint64(int64(k.P)))
+	return fnvUint64(h, k.Seed)
+}
+
+func hashString(s string) uint64 { return fnvString(fnvOffset64, s) }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	return h.Sum64()
+	return h
 }
 
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-func putUint64LE(buf *[8]byte, v uint64) {
+func fnvUint64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
 	}
+	return h
 }
 
 // ---- the worker loop ----

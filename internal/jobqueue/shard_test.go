@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -395,5 +397,46 @@ func TestStolenWorkStrictClassFirst(t *testing.T) {
 	m := q.Snapshot()
 	if m.PerShard[1].Executed != 6 {
 		t.Errorf("pinned shard executed %d, want 6", m.PerShard[1].Executed)
+	}
+}
+
+// TestKeyHashMatchesFNV pins the inline FNV-1a against hash/fnv over
+// random keys and strings: shard placement, and so the golden trace and
+// replay signatures, depend on the exact values.
+func TestKeyHashMatchesFNV(t *testing.T) {
+	ref := func(k Key) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(k.Algorithm))
+		h.Write([]byte{0})
+		h.Write([]byte(k.Engine))
+		h.Write([]byte{0})
+		var buf [8]byte
+		for _, v := range [...]uint64{uint64(int64(k.N)), uint64(int64(k.P)), k.Seed} {
+			for i := range buf {
+				buf[i] = byte(v >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+		return h.Sum64()
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	str := func() string {
+		b := make([]byte, rng.IntN(24))
+		for i := range b {
+			b[i] = byte(rng.UintN(256))
+		}
+		return string(b)
+	}
+	for i := 0; i < 5000; i++ {
+		k := Key{Algorithm: str(), N: int(rng.Int64()), P: rng.IntN(64) - 8, Engine: core.Engine(str()), Seed: rng.Uint64()}
+		if got, want := k.hash(), ref(k); got != want {
+			t.Fatalf("%+v: hash %#x, hash/fnv %#x", k, got, want)
+		}
+		s := str()
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := hashString(s), h.Sum64(); got != want {
+			t.Fatalf("%q: hashString %#x, hash/fnv %#x", s, got, want)
+		}
 	}
 }
