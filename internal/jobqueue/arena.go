@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lopram/internal/core"
-	"lopram/internal/jobtrace"
 )
 
 // The frame arena: pooled Job and Batch frames for the batch-first ingest
@@ -156,80 +155,37 @@ func (b *Batch) SubmitSpec(spec *Spec) error {
 	if q.cal != nil {
 		j.cost = q.cal.estimate(*spec, key.P)
 	}
+	// Lock-free cache-hit fast path: the frame turns terminal in place
+	// without ring publication, a pending count, or — on an untraced
+	// queue — any allocation. The frame never acquires a notify hook,
+	// mirroring the validation-refusal path above, so Wait/Outcome/Release
+	// semantics are unchanged.
 	h := key.hash()
-	// Lock-free cache-hit fast path (see Submit): the frame turns
-	// terminal in place without ring publication, a pending count, or —
-	// on an untraced queue — any allocation. The frame never acquires a
-	// notify hook, mirroring the validation-refusal path above, so
-	// Wait/Outcome/Release semantics are unchanged.
-	if p := q.place.Load(); p != nil {
-		s := p.shardForHash(h)
-		if c := s.cacheIdx.Load(); c != nil {
-			if e, ok := c.lookup(key, h); ok {
-				j.ID = q.newID(s.idx)
-				j.submitShard = s.idx
-				j.submitEpoch = p.epoch
-				if j.Name == "" {
-					j.Name = e.name // already rendered at settle; no allocation
-				}
-				q.cacheHits.Add(1)
-				q.submitted.Add(1)
-				q.perClass[class].submitted.Add(1)
-				if q.rec != nil {
-					// Record before completing: the record must be built
-					// before the owner can observe completion and Release
-					// the frame.
-					q.recordServed(q.baseRecord(j), jobtrace.DispositionHit, s.idx, p.epoch)
-				}
-				j.completeCached(e.res, now)
-				return nil
-			}
-		}
+	if q.serveCachedFast(j, key, h) {
+		return nil
 	}
 	j.notify = b
 	b.pending.Add(1)
 	for {
-		p := q.place.Load()
-		s := p.shardForHash(h)
-		switch s.ring.publish(j) {
-		case ringOK:
+		s := q.place.Load().shardForHash(h)
+		if s.ring.publish(j) == ringOK {
 			q.kickWorkers()
 			return nil
-		case ringSealed:
-			// The shard left the table: a resize retired it (follow the
-			// keys to the new table) or shutdown closed it.
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				q.rejected.Add(1)
-				q.perClass[class].rejected.Add(1)
-				j.markFinished(Result{}, ErrClosed, now)
-				j.signalDone()
-				return ErrClosed
-			}
-			retryPlacement()
-		case ringFull:
-			// The drain side is saturated: help drain the backlog under
-			// the shard lock, then retry the publish. FIFO is preserved —
-			// the backlog is ingested before this frame republishes.
-			s.mu.Lock()
-			if s.retired {
-				s.mu.Unlock()
-				retryPlacement()
-				continue
-			}
-			if s.closed {
-				s.mu.Unlock()
-				q.rejected.Add(1)
-				q.perClass[class].rejected.Add(1)
-				j.markFinished(Result{}, ErrClosed, now)
-				j.signalDone()
-				return ErrClosed
-			}
-			q.drainRingLocked(p, s)
-			s.mu.Unlock()
 		}
+		// The ring is full (the drain side is saturated: help drain the
+		// backlog under the shard lock, then retry the publish — FIFO is
+		// preserved, the backlog is ingested before this frame
+		// republishes) or sealed (a resize retired the shard, and
+		// lockShard follows the keys to the new table; or shutdown closed
+		// it).
+		p, s, err := q.lockShard(h, class)
+		if err != nil {
+			j.markFinished(Result{}, err, now)
+			j.signalDone()
+			return err
+		}
+		q.drainRingLocked(p, s)
+		s.mu.Unlock()
 	}
 }
 

@@ -75,39 +75,97 @@ func TestBatchValidationError(t *testing.T) {
 
 // TestBatchCoalesceAndHit submits heavy duplication through one batch and
 // checks the dedup machinery served it: each distinct key executes once,
-// duplicates land as cache hits or coalesces, and every outcome matches.
+// duplicates land as coalesces (the whole batch is ingested while the
+// workers are busy) and a second batch as cache hits, every outcome
+// matches, and every slot — executed, coalesced or hit — reports its own
+// non-zero ID.
 func TestBatchCoalesceAndHit(t *testing.T) {
 	q := New(Config{Workers: 2, Shards: 2, CacheSize: 1024})
 	defer q.Close()
-	b := q.NewBatch()
 	const n, keys = 60, 7
+	release := blockWorkers(t, q, 2)
+	b := q.NewBatch()
 	for i := 0; i < n; i++ {
 		if err := b.Submit(simSpec(uint64(i % keys))); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
+	release()
 	if err := b.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
+	hits := q.NewBatch()
+	for i := 0; i < keys; i++ {
+		if err := hits.Submit(simSpec(uint64(i))); err != nil {
+			t.Fatalf("hit Submit %d: %v", i, err)
+		}
+	}
+	if err := hits.Wait(context.Background()); err != nil {
+		t.Fatalf("hit Wait: %v", err)
+	}
 	bySeed := make(map[uint64]Result)
-	for i := 0; i < n; i++ {
-		res, err := b.Outcome(i)
-		if err != nil {
-			t.Fatalf("Outcome %d: %v", i, err)
+	ids := make(map[uint64]bool)
+	for _, batch := range []*Batch{b, hits} {
+		for i := 0; i < batch.Len(); i++ {
+			res, err := batch.Outcome(i)
+			if err != nil {
+				t.Fatalf("Outcome %d: %v", i, err)
+			}
+			seed := uint64(i % keys)
+			if prev, ok := bySeed[seed]; ok && prev.Value != res.Value {
+				t.Fatalf("seed %d: inconsistent results %v vs %v", seed, prev.Value, res.Value)
+			}
+			bySeed[seed] = res
+			id := batch.ID(i)
+			if id == 0 || ids[id] {
+				t.Fatalf("slot %d: zero or duplicate ID %d", i, id)
+			}
+			ids[id] = true
 		}
-		seed := uint64(i % keys)
-		if prev, ok := bySeed[seed]; ok && prev.Value != res.Value {
-			t.Fatalf("seed %d: inconsistent results %v vs %v", seed, prev.Value, res.Value)
-		}
-		bySeed[seed] = res
 	}
 	b.Release()
+	hits.Release()
+	q.Close() // flushes the blockers' buffered completions too
 	m := q.Snapshot()
-	if m.Completed != keys {
-		t.Fatalf("completed = %d, want %d (one execution per distinct key)", m.Completed, keys)
+	if m.Completed != keys+2 { // the two blockers ran too
+		t.Fatalf("completed = %d, want %d (one execution per distinct key)", m.Completed, keys+2)
 	}
-	if m.CacheHits+m.Coalesced != n-keys {
-		t.Fatalf("hits+coalesced = %d, want %d", m.CacheHits+m.Coalesced, n-keys)
+	if m.Coalesced != n-keys || m.CacheHits != keys {
+		t.Fatalf("coalesced = %d, hits = %d, want %d and %d", m.Coalesced, m.CacheHits, n-keys, keys)
+	}
+}
+
+// TestBatchAbandonedFrameNotRecycled: a pooled frame whose run blew its
+// deadline and was abandoned reports the timeout outcome, and Release
+// leaves it to the GC — the abandoned run still holds it (touches > 0) —
+// instead of resetting it under that run.
+func TestBatchAbandonedFrameNotRecycled(t *testing.T) {
+	q := New(Config{Workers: 1, Shards: 1})
+	b := q.NewBatch()
+	// Tens of ms of sim edit distance against a 1ms deadline.
+	if err := b.Submit(Spec{Algorithm: "editdistance", N: 64, Engine: core.EngineSim, Seed: 1, Timeout: time.Millisecond}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := b.Wait(context.Background()); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if _, err := b.Outcome(0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Outcome: got %v, want DeadlineExceeded", err)
+	}
+	j, id := b.jobs[0], b.ID(0)
+	if j.touches.Load() == 0 {
+		t.Fatal("abandoned run holds no touch on its frame")
+	}
+	b.Release()
+	if j.ID != id || j.Status() != StatusFailed {
+		t.Fatalf("Release recycled a frame its abandoned run still holds: ID %d status %v", j.ID, j.Status())
+	}
+	q.Close() // waits for the abandoned run
+	if n := j.touches.Load(); n != 0 {
+		t.Fatalf("touches = %d after Close, want 0", n)
+	}
+	if m := q.Snapshot(); m.Timeouts != 1 || m.Abandoned != 0 {
+		t.Fatalf("timeouts = %d, abandoned = %d, want 1 and 0", m.Timeouts, m.Abandoned)
 	}
 }
 

@@ -87,20 +87,11 @@ func newWorkerMetrics(numClasses int) *workerMetrics {
 type workerState struct {
 	buf []completion
 	wm  *workerMetrics
-	// Run-path scratch owned by shard.go's runJob: the persistent
-	// runner lane for algorithm jobs, the reusable run reply cell, and
-	// the per-worker deadline timer that stands in for a per-job
-	// context.WithTimeout. All three are lazily built and survive
-	// re-homing; an abandoned run drops the lane and the cell (their
-	// signals belong to the background watcher by then).
-	runner   chan runTask
-	rs       *runState
-	deadline *time.Timer
 }
 
 // bufferCompletion records one finished job on the worker's completion
 // buffer, flushing at the K threshold. wall is the execution time to
-// sample (the runner's measured wall for completed runs, the elapsed
+// sample (the run's measured wall for completed runs, the elapsed
 // deadline for timeouts); start is when the run began, which with the
 // job's submit time yields the queueing latency without touching job.mu.
 func (q *Queue) bufferCompletion(ws *workerState, job *Job, res Result, err error, wall time.Duration, start time.Time) {

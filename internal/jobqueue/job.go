@@ -122,8 +122,8 @@ type Job struct {
 
 	// Flight-recorder fields. submitShard/submitEpoch/laneDepth are
 	// written before the job is published to its run queue and
-	// execShard/stealFrom by the executing worker before it spawns the
-	// runner; the completion flush (which runs after the run finishes)
+	// execShard/stealFrom by the executing worker before the run starts;
+	// the completion flush (which runs after the run finishes)
 	// is the only reader, so the channel send and goroutine creation
 	// order them without a lock.
 	submitShard int
@@ -155,7 +155,8 @@ type Job struct {
 	// inflight still maps to it).
 	pinned atomic.Bool
 	// touches counts live references held by the execution machinery
-	// (the dequeuing worker and its runner goroutine): runJob sets it
+	// (the dequeuing worker and, off the inline path, its run
+	// goroutine): runJob sets it
 	// before the deadline race can fork and each side drops its count
 	// after its last access, so release recycles a frame only when no
 	// abandoned run or racing deadline loser can still write to it.
@@ -177,11 +178,6 @@ type Job struct {
 	chained  []*Job
 }
 
-func newJob(id uint64, name string, spec Spec, fn func(ctx context.Context) error, now time.Time) *Job {
-	return &Job{ID: id, Name: name, Spec: spec, fn: fn, submitted: now,
-		execShard: -1, stealFrom: -1, done: make(chan struct{})}
-}
-
 // Status returns the job's current state.
 func (j *Job) Status() Status {
 	j.mu.Lock()
@@ -192,11 +188,11 @@ func (j *Job) Status() Status {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneChan() }
 
-// doneChan returns the completion channel, allocating it on first use.
-// Jobs built by newJob carry an eager channel; pooled batch frames defer
-// the allocation to here, so a batch that never selects on individual
-// jobs (Batch.Wait rides the batch token instead) pays nothing. A waiter
-// arriving after completion gets an already-closed channel.
+// doneChan returns the completion channel, allocating it on first use,
+// so a job nobody selects on — a cache hit read through Result, or a
+// batch frame (Batch.Wait rides the batch token instead) — pays nothing
+// for it. A waiter arriving after completion gets an already-closed
+// channel.
 func (j *Job) doneChan() chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -443,117 +443,39 @@ func (q *Queue) Submit(spec Spec) (*Job, error) {
 	}
 	key := spec.key()
 	h := key.hash()
-	// Lock-free cache-hit fast path: serve the hit from the home shard's
-	// cache without touching its mutex. A hit that races an insert,
-	// eviction, resize migration or shutdown linearizes before it — the
-	// entry was in the cache when its slot was loaded, and cached results
-	// are immutable. Misses (index nil, caching off, key absent, or a
-	// probe that raced an eviction's shift) fall through to the locked
-	// pipeline below.
-	if p := q.place.Load(); p != nil {
-		s := p.shardForHash(h)
-		if c := s.cacheIdx.Load(); c != nil {
-			if e, ok := c.lookup(key, h); ok {
-				now := time.Now()
-				// The entry's rendered name rides along so the hit does
-				// not re-render the spec.
-				job := &Job{ID: q.newID(s.idx), Name: e.name, Spec: spec,
-					submitted: now, class: class, execShard: -1, stealFrom: -1}
-				q.cacheHits.Add(1)
-				q.submitted.Add(1)
-				q.perClass[class].submitted.Add(1)
-				// Cached serves are near-instant and skip the latency
-				// samples; Wall reports the original run's cost.
-				job.completeCached(e.res, now)
-				if q.rec != nil {
-					q.recordServed(q.baseRecord(job), jobtrace.DispositionHit, s.idx, p.epoch)
-				}
-				return job, nil
-			}
-		}
+	// Built once, with a lazy done channel (doneChan): a cache hit served
+	// from the lock-free index costs exactly this one allocation.
+	job := &Job{Spec: spec, submitted: time.Now(), class: class, execShard: -1, stealFrom: -1}
+	if q.serveCachedFast(job, key, h) {
+		return job, nil
 	}
-	var cost CostEstimate
+	job.Name = spec.String()
 	if q.cal != nil {
 		// A policy consumes cost predictions: price the job once, up
 		// front (the estimate depends only on the spec).
-		cost = q.cal.estimate(spec, key.P)
+		job.cost = q.cal.estimate(spec, key.P)
 	}
-	for {
-		p := q.place.Load()
-		s := p.shardForHash(h)
-		now := time.Now()
-		s.mu.Lock()
-		if s.retired {
-			// A resize is migrating this shard's keys; follow them.
-			s.mu.Unlock()
-			retryPlacement()
-			continue
-		}
-		if s.closed {
-			s.mu.Unlock()
-			q.rejected.Add(1)
-			q.perClass[class].rejected.Add(1)
-			return nil, ErrClosed
-		}
-		if e, ok := s.cache.lookup(key, h); ok {
-			// The locked twin of the fast path above, for hits it missed
-			// (an insert that landed after its probe, a shard retired
-			// under a stale table, or a probe that raced an eviction's
-			// shift). Like the fast path, the hit
-			// job is not retained for Get/Jobs: the caller holds the only
-			// handle, matching the pooled batch hit semantics.
-			job := newJob(q.newID(s.idx), e.name, spec, nil, now)
-			job.class = class
-			s.mu.Unlock()
-			q.cacheHits.Add(1)
-			q.submitted.Add(1)
-			q.perClass[class].submitted.Add(1)
-			// Cached serves are near-instant and skip the latency samples;
-			// Wall in the result reports the original run's cost.
-			job.completeCached(e.res, now)
-			if q.rec != nil {
-				q.recordServed(q.baseRecord(job), jobtrace.DispositionHit, s.idx, p.epoch)
-			}
-			return job, nil
-		}
-		if dup, ok := s.inflight[key]; ok {
-			if dup.pooled {
-				// The pooled frame escapes its batch lifecycle: this
-				// caller holds it indefinitely, so it must never be
-				// recycled. Pinning under s.mu while the frame is still
-				// inflight orders the pin before any Release.
-				dup.pinned.Store(true)
-			}
-			s.mu.Unlock()
-			q.coalesced.Add(1)
-			if q.rec != nil {
-				// The record describes this submission — its own class
-				// and arrival — served by the in-flight job's ID.
-				rec := q.baseRecord(dup)
-				rec.ID = dup.ID
-				rec.Class = string(q.classes.specs[class].Name)
-				rec.SubmitNS = now.UnixNano()
-				q.recordServed(rec, jobtrace.DispositionCoalesce, s.idx, p.epoch)
-			}
-			return dup, nil
-		}
-		q.cacheMiss.Add(1)
-		job := newJob(q.newID(s.idx), spec.String(), spec, nil, now)
-		job.class = class
-		job.submitShard = s.idx
-		job.submitEpoch = p.epoch
-		job.cost = cost
-		if err := q.enqueueLocked(s, job, key); err != nil {
-			s.mu.Unlock()
-			if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
-				q.recordRejected(job, s.idx, p.epoch, s.laneDepths[class])
-			}
-			return nil, err
-		}
-		s.mu.Unlock()
-		q.kickWorkers()
-		return job, nil
+	p, s, err := q.lockShard(h, class)
+	if err != nil {
+		return nil, err
 	}
+	dup, err := q.admitLocked(s, p.epoch, job, key, h)
+	if dup != nil && dup.pooled {
+		// The pooled frame escapes its batch lifecycle: this caller holds
+		// it indefinitely, so it must never be recycled. Pinning under
+		// s.mu while the frame is still inflight orders the pin before
+		// any Release.
+		dup.pinned.Store(true)
+	}
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case dup != nil:
+		return dup, nil
+	}
+	q.kickWorkers()
+	return job, nil
 }
 
 // SubmitFunc enqueues an arbitrary work item on the same pools, subject
@@ -566,75 +488,164 @@ func (q *Queue) SubmitFunc(name string, fn func(ctx context.Context) error) (*Jo
 	if fn == nil {
 		return nil, fmt.Errorf("jobqueue: nil func for %q", name)
 	}
+	job := &Job{Name: name, fn: fn, submitted: time.Now(), execShard: -1, stealFrom: -1}
+	p, s, err := q.lockShard(hashString(name), job.class)
+	if err != nil {
+		return nil, err
+	}
+	job.ID = q.newID(s.idx)
+	job.submitShard = s.idx
+	job.submitEpoch = p.epoch
+	err = q.enqueueLocked(s, job, Key{})
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	q.kickWorkers()
+	return job, nil
+}
+
+// lockShard locks the home shard of hash h under the current placement
+// table, following a resize's migration past retired shards. Once the
+// queue is shut down it counts a class rejection and returns ErrClosed
+// with nothing locked.
+func (q *Queue) lockShard(h uint64, class int) (*placement, *shard, error) {
 	for {
 		p := q.place.Load()
-		s := p.shardForName(name)
+		s := p.shardForHash(h)
 		s.mu.Lock()
-		if s.retired {
-			s.mu.Unlock()
-			retryPlacement()
-			continue
-		}
-		if s.closed {
+		if !s.retired {
+			if !s.closed {
+				return p, s, nil
+			}
 			s.mu.Unlock()
 			q.rejected.Add(1)
-			return nil, ErrClosed
+			q.perClass[class].rejected.Add(1)
+			return nil, nil, ErrClosed
 		}
-		job := newJob(q.newID(s.idx), name, Spec{}, fn, time.Now())
-		job.submitShard = s.idx
-		job.submitEpoch = p.epoch
-		if err := q.enqueueLocked(s, job, Key{}); err != nil {
-			s.mu.Unlock()
-			if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
-				q.recordRejected(job, s.idx, p.epoch, s.laneDepths[job.class])
-			}
-			return nil, err
-		}
+		// A resize is migrating this shard's keys; follow them.
 		s.mu.Unlock()
-		q.kickWorkers()
-		return job, nil
+		retryPlacement()
 	}
 }
 
+// serveCachedFast is the lock-free cache-hit path of Submit and
+// Batch.Submit: it serves j from its home shard's read index without
+// touching the shard mutex. A hit that races an insert, eviction, resize
+// migration or shutdown linearizes before it — the entry was in the cache
+// when its slot was loaded, and cached results are immutable. It reports
+// false on a miss (index nil, caching off, key absent, or a probe that
+// raced an eviction's shift); the caller falls through to the locked
+// admission path, whose admitLocked re-checks the cache.
+func (q *Queue) serveCachedFast(j *Job, key Key, h uint64) bool {
+	p := q.place.Load()
+	s := p.shardForHash(h)
+	c := s.cacheIdx.Load()
+	if c == nil {
+		return false
+	}
+	e, ok := c.lookup(key, h)
+	if ok {
+		q.serveHit(j, e, s.idx, p.epoch)
+	}
+	return ok
+}
+
+// serveHit completes j from a cached entry of shard idx in the given
+// epoch. The hit is not retained for Get/Jobs — the submitter holds the
+// only handle — and skips the latency samples: cached serves are
+// near-instant, and Wall reports the original run's cost. The entry's
+// rendered name rides along, so the hit renders nothing. The trace record
+// is emitted before completing: completion may let a batch owner Release
+// the frame while a later record construction would still be reading it.
+func (q *Queue) serveHit(j *Job, e *cacheEntry, idx int, epoch uint64) {
+	j.ID = q.newID(idx)
+	if j.Name == "" {
+		j.Name = e.name
+	}
+	q.cacheHits.Add(1)
+	q.submitted.Add(1)
+	q.perClass[j.class].submitted.Add(1)
+	if q.rec != nil {
+		q.recordServed(q.baseRecord(j), jobtrace.DispositionHit, idx, epoch)
+	}
+	j.completeCached(e.res, j.submitted)
+}
+
+// admitLocked is the one admission step, shared by Submit and ring
+// ingest: a cache hit completes j in place, a key already in flight
+// returns that job for the caller to coalesce onto (j gets no ID here),
+// and anything else is ID'd and enqueued — or refused with the admission
+// error. The caller holds s.mu with s neither retired nor closed, or owns
+// s exclusively (Resize re-homing onto an unpublished table). j carries
+// its validated spec, class, submit time and cost; untraced pooled frames
+// may arrive unnamed.
+func (q *Queue) admitLocked(s *shard, epoch uint64, j *Job, key Key, h uint64) (*Job, error) {
+	if e, ok := s.cache.lookup(key, h); ok {
+		q.serveHit(j, e, s.idx, epoch)
+		return nil, nil
+	}
+	if dup, ok := s.inflight[key]; ok {
+		q.coalesced.Add(1)
+		if q.rec != nil {
+			// The record describes this submission — its own class and
+			// arrival — served by the in-flight job's ID.
+			rec := q.baseRecord(dup)
+			rec.Class = string(q.classes.specs[j.class].Name)
+			rec.SubmitNS = j.submitted.UnixNano()
+			q.recordServed(rec, jobtrace.DispositionCoalesce, s.idx, epoch)
+		}
+		return dup, nil
+	}
+	q.cacheMiss.Add(1)
+	j.ID = q.newID(s.idx)
+	j.submitShard = s.idx
+	j.submitEpoch = epoch
+	return nil, q.enqueueLocked(s, j, key)
+}
+
 // enqueueLocked admits a job to its class's run queue on shard s; the
-// caller holds s.mu. The admission bound is the lane counter, not the
-// channel (which a resize may have sized larger to hold a migrated
-// backlog); the non-blocking send is a backstop that cannot fire while
-// the counter invariant holds.
+// caller holds s.mu and has stamped the job's ID, submit shard and epoch.
+// The admission bound is the lane counter, not the channel (which a
+// resize may have sized larger to hold a migrated backlog); the
+// non-blocking send is a backstop that cannot fire while the counter
+// invariant holds. A refusal is counted and traced here.
 func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	used := s.laneUsed[job.class].Load()
-	if used >= int64(s.laneDepths[job.class]) {
-		q.rejected.Add(1)
-		q.perClass[job.class].rejected.Add(1)
-		return ErrQueueFull
-	}
-	if q.adm != nil {
-		// The structural lane bound above always applies; the policy
-		// can only refuse further (rate limits, deadline sheds).
-		err := q.adm.Admit(AdmissionRequest{
-			Class:     job.class,
-			ClassName: q.classes.specs[job.class].Name,
-			LaneUsed:  int(used),
-			LaneDepth: s.laneDepths[job.class],
-			Deadline:  q.effectiveDeadline(job),
-			Cost:      job.cost,
-			Now:       job.submitted,
-		})
-		if err != nil {
-			q.rejected.Add(1)
-			q.perClass[job.class].rejected.Add(1)
-			return err
+	err := ErrQueueFull
+	if used < int64(s.laneDepths[job.class]) {
+		err = nil
+		if q.adm != nil {
+			// The structural lane bound above always applies; the policy
+			// can only refuse further (rate limits, deadline sheds).
+			err = q.adm.Admit(AdmissionRequest{
+				Class:     job.class,
+				ClassName: q.classes.specs[job.class].Name,
+				LaneUsed:  int(used),
+				LaneDepth: s.laneDepths[job.class],
+				Deadline:  q.effectiveDeadline(job),
+				Cost:      job.cost,
+				Now:       job.submitted,
+			})
 		}
 	}
-	// The admitted-ahead count at admission, kept for the flight
-	// recorder's completion record.
-	job.laneDepth = int(used)
-	select {
-	case s.runq[job.class] <- job:
-	default:
+	if err == nil {
+		// The admitted-ahead count at admission, kept for the flight
+		// recorder's completion record.
+		job.laneDepth = int(used)
+		select {
+		case s.runq[job.class] <- job:
+		default:
+			err = ErrQueueFull
+		}
+	}
+	if err != nil {
 		q.rejected.Add(1)
 		q.perClass[job.class].rejected.Add(1)
-		return ErrQueueFull
+		if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
+			q.recordRejected(job, s.idx, job.submitEpoch, s.laneDepths[job.class])
+		}
+		return err
 	}
 	s.laneUsed[job.class].Add(1)
 	if !job.pooled {
@@ -653,75 +664,44 @@ func (q *Queue) enqueueLocked(s *shard, job *Job, key Key) error {
 	return nil
 }
 
-// ingestLocked runs the admission pipeline of Submit for one
-// ring-published frame: ID assignment, cache lookup, coalescing, enqueue.
-// The caller either holds s.mu with the shard neither retired nor closed
-// (a draining worker or a help-draining Batch.Submit) or owns the shard
-// exclusively (Resize re-homing a sealed backlog onto an unpublished
-// table). The frame's spec was validated and defaulted at Batch.Submit;
-// failures here (admission control) turn the frame terminal in place.
+// ingestLocked admits one ring-published frame (admitLocked, under the
+// same locking contract). The frame's spec was validated and defaulted at
+// Batch.Submit. Unlike a single Submit, a coalesced frame keeps its own
+// ID and is chained onto the in-flight winner, and a refusal turns the
+// frame terminal in place.
 func (q *Queue) ingestLocked(s *shard, epoch uint64, j *Job) {
-	now := time.Now()
-	key := j.Spec.key()
-	j.ID = q.newID(s.idx)
-	j.submitShard = s.idx
-	j.submitEpoch = epoch
 	if q.rec != nil && j.Name == "" {
 		// Only a tracing queue pays for the rendered name; the untraced
 		// hot path keeps the frame allocation-free.
 		j.Name = j.Spec.String()
 	}
-	if e, ok := s.cache.get(key); ok {
-		if j.Name == "" {
-			j.Name = e.name // already rendered at settle
-		}
-		q.cacheHits.Add(1)
-		q.submitted.Add(1)
-		q.perClass[j.class].submitted.Add(1)
-		if q.rec != nil {
-			// Record before completing: completeCached signals the
-			// owning batch, whose Release may recycle the frame while a
-			// later record construction would still be reading it.
-			q.recordServed(q.baseRecord(j), jobtrace.DispositionHit, s.idx, epoch)
-		}
-		j.completeCached(e.res, now)
-		return
-	}
-	if dup, ok := s.inflight[key]; ok {
-		q.coalesced.Add(1)
-		if q.rec != nil {
-			rec := q.baseRecord(dup)
-			rec.ID = dup.ID
-			rec.Class = string(q.classes.specs[j.class].Name)
-			rec.SubmitNS = now.UnixNano()
-			q.recordServed(rec, jobtrace.DispositionCoalesce, s.idx, epoch)
-		}
-		dup.mu.Lock()
-		if dup.status == StatusDone || dup.status == StatusFailed {
-			// The in-flight winner finished but has not settled yet (it
-			// is terminal while still in the map only inside the
-			// finish→settle window, and settle's chained drain may
-			// already have run): serve its outcome directly.
-			res, err := dup.result, dup.err
-			dup.mu.Unlock()
-			j.markFinished(res, err, now)
-			j.signalDone()
-			return
-		}
-		// Chain the frame onto the in-flight winner; settle completes it
-		// with the winner's outcome after the cache holds it.
-		dup.chained = append(dup.chained, j)
-		dup.mu.Unlock()
-		return
-	}
-	q.cacheMiss.Add(1)
-	if err := q.enqueueLocked(s, j, key); err != nil {
-		if q.rec != nil && (errors.Is(err, ErrQueueFull) || errors.Is(err, ErrDeadlineInfeasible)) {
-			q.recordRejected(j, s.idx, epoch, s.laneDepths[j.class])
-		}
-		j.markFinished(Result{}, err, now)
+	key := j.Spec.key()
+	dup, err := q.admitLocked(s, epoch, j, key, key.hash())
+	if err != nil {
+		j.markFinished(Result{}, err, time.Now())
 		j.signalDone()
+		return
 	}
+	if dup == nil {
+		return
+	}
+	j.ID = q.newID(s.idx)
+	dup.mu.Lock()
+	if dup.status == StatusDone || dup.status == StatusFailed {
+		// The in-flight winner finished but has not settled yet (it is
+		// terminal while still in the map only inside the finish→settle
+		// window, and settle's chained drain may already have run):
+		// serve its outcome directly.
+		res, err := dup.result, dup.err
+		dup.mu.Unlock()
+		j.markFinished(res, err, time.Now())
+		j.signalDone()
+		return
+	}
+	// Chain the frame onto the in-flight winner; settle completes it with
+	// the winner's outcome after the cache holds it.
+	dup.chained = append(dup.chained, j)
+	dup.mu.Unlock()
 }
 
 // drainRingLocked ingests every frame currently published on s's submit

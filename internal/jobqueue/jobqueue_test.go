@@ -274,34 +274,78 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-func TestDeadlineAbandonsRun(t *testing.T) {
-	q := New(Config{Workers: 1, DefaultTimeout: 20 * time.Millisecond})
+// runGauge counts the runs in progress and the most seen at once.
+type runGauge struct{ live, peak atomic.Int64 }
 
-	started := make(chan struct{})
-	finished := make(chan struct{})
-	job, err := q.SubmitFunc("slow", func(ctx context.Context) error {
-		close(started)
-		<-ctx.Done() // a cooperative job would stop here; hold on a bit longer
-		time.Sleep(10 * time.Millisecond)
-		close(finished)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+func (g *runGauge) enter() {
+	if n := g.live.Add(1); n > g.peak.Load() {
+		g.peak.Store(n)
 	}
-	<-started
-	_, err = job.Wait(context.Background())
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
+}
+
+func (g *runGauge) exit() { g.live.Add(-1) }
+
+// overrunCase is one kind of run that outlasts its deadline and so takes
+// the watched run path: submit enqueues the i-th such run on q, counting
+// it on g while it executes when the run can report that.
+type overrunCase struct {
+	name   string
+	submit func(q *Queue, i int, g *runGauge) (*Job, error)
+}
+
+// overrunCases are the two kinds of overrun: a func job that keeps going
+// for hold after its context is cancelled, and a catalogue spec whose
+// Timeout is far below its run (tens of ms of sim edit distance against 1ms;
+// the engines are not preemptible, and distinct seeds keep the runs from
+// coalescing). Only the func job can count itself live.
+func overrunCases(hold time.Duration) []overrunCase {
+	return []overrunCase{
+		{"func", func(q *Queue, i int, g *runGauge) (*Job, error) {
+			return q.SubmitFunc(fmt.Sprintf("slow-%d", i), func(ctx context.Context) error {
+				g.enter()
+				defer g.exit()
+				<-ctx.Done() // a cooperative job would stop here; hold on longer
+				time.Sleep(hold)
+				return nil
+			})
+		}},
+		{"spec", func(q *Queue, i int, _ *runGauge) (*Job, error) {
+			return q.Submit(Spec{Algorithm: "editdistance", N: 64, Engine: core.EngineSim,
+				Seed: uint64(i), Timeout: time.Millisecond})
+		}},
 	}
-	<-finished
-	q.Close() // waits for the abandoned run to drain
-	m := q.Snapshot()
-	if m.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", m.Timeouts)
-	}
-	if m.Abandoned != 0 {
-		t.Errorf("abandoned gauge = %d after Close, want 0", m.Abandoned)
+}
+
+// TestDeadlineAbandonsRun: a run that blows its deadline fails the job
+// at once and is abandoned to finish in the background (the orphan
+// budget has room), and Close waits for it.
+func TestDeadlineAbandonsRun(t *testing.T) {
+	for _, tc := range overrunCases(50 * time.Millisecond) {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New(Config{Workers: 1, DefaultTimeout: 20 * time.Millisecond})
+			var g runGauge
+			job, err := tc.submit(q, 0, &g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := job.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want DeadlineExceeded", err)
+			}
+			if m := q.Snapshot(); m.Abandoned != 1 {
+				t.Errorf("abandoned gauge = %d once the job failed, want 1 (the run outlives its deadline)", m.Abandoned)
+			}
+			q.Close() // waits for the abandoned run to drain
+			m := q.Snapshot()
+			if m.Timeouts != 1 {
+				t.Errorf("timeouts = %d, want 1", m.Timeouts)
+			}
+			if m.Abandoned != 0 {
+				t.Errorf("abandoned gauge = %d after Close, want 0", m.Abandoned)
+			}
+			if n := g.live.Load(); n != 0 {
+				t.Errorf("%d runs still live after Close", n)
+			}
+		})
 	}
 }
 
@@ -371,45 +415,62 @@ func TestResultBeforeFinish(t *testing.T) {
 // the orphan budget (2× workers); past that the worker waits the run out,
 // so timeout abuse cannot stack unbounded concurrent runs.
 func TestAbandonmentBounded(t *testing.T) {
-	q := New(Config{Workers: 1, DefaultTimeout: 5 * time.Millisecond})
-
-	var live atomic.Int64
-	var peak atomic.Int64
-	jobs := make([]*Job, 0, 6)
-	for i := 0; i < 6; i++ {
-		job, err := q.SubmitFunc(fmt.Sprintf("slow-%d", i), func(ctx context.Context) error {
-			if n := live.Add(1); n > peak.Load() {
-				peak.Store(n)
+	for _, tc := range overrunCases(30 * time.Millisecond) {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New(Config{Workers: 1, DefaultTimeout: 5 * time.Millisecond})
+			// Sample the abandoned gauge until Close returns: some run must
+			// have been abandoned for Close's wait to mean anything.
+			var g runGauge
+			var peakAbandoned int64
+			stop := make(chan struct{})
+			sampled := make(chan struct{})
+			go func() {
+				defer close(sampled)
+				for {
+					if n := q.Snapshot().Abandoned; n > peakAbandoned {
+						peakAbandoned = n
+					}
+					select {
+					case <-stop:
+						return
+					case <-time.After(time.Millisecond):
+					}
+				}
+			}()
+			jobs := make([]*Job, 0, 6)
+			for i := 0; i < 6; i++ {
+				job, err := tc.submit(q, i, &g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, job)
 			}
-			defer live.Add(-1)
-			<-ctx.Done()
-			time.Sleep(30 * time.Millisecond) // keep running past the deadline
-			return nil
+			for _, job := range jobs {
+				if _, err := job.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s: err = %v, want DeadlineExceeded", job.Name, err)
+				}
+			}
+			q.Close()
+			close(stop)
+			<-sampled
+			m := q.Snapshot()
+			if m.Timeouts != 6 {
+				t.Errorf("timeouts = %d, want 6", m.Timeouts)
+			}
+			if m.Abandoned != 0 {
+				t.Errorf("abandoned gauge = %d after Close, want 0", m.Abandoned)
+			}
+			if peakAbandoned == 0 || peakAbandoned > 2 {
+				t.Errorf("peak abandoned gauge = %d, want in [1, 2] (the budget is 2×workers)", peakAbandoned)
+			}
+			// Budget is 2×workers = 2 orphans, plus the one run the worker holds.
+			if p := g.peak.Load(); p > 3 {
+				t.Errorf("peak concurrent runs = %d, want <= 3", p)
+			}
+			if n := g.live.Load(); n != 0 {
+				t.Errorf("%d runs still live after Close", n)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, job)
-	}
-	for _, job := range jobs {
-		if _, err := job.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: err = %v, want DeadlineExceeded", job.Name, err)
-		}
-	}
-	q.Close()
-	m := q.Snapshot()
-	if m.Timeouts != 6 {
-		t.Errorf("timeouts = %d, want 6", m.Timeouts)
-	}
-	if m.Abandoned != 0 {
-		t.Errorf("abandoned gauge = %d after Close, want 0", m.Abandoned)
-	}
-	// Budget is 2×workers = 2 orphans, plus the one run the worker holds.
-	if p := peak.Load(); p > 3 {
-		t.Errorf("peak concurrent runs = %d, want <= 3", p)
-	}
-	if live.Load() != 0 {
-		t.Errorf("%d runs still live after Close", live.Load())
 	}
 }
 

@@ -53,11 +53,6 @@ func (p *placement) shardForHash(h uint64) *shard {
 	return p.shards[shardIndexForHash(h, len(p.shards))]
 }
 
-// shardForName returns the home shard of a func job's name in this epoch.
-func (p *placement) shardForName(name string) *shard {
-	return p.shards[shardIndexForName(name, len(p.shards))]
-}
-
 // shardForID returns the shard retaining the job with the given ID in
 // this epoch.
 func (p *placement) shardForID(id uint64) *shard {

@@ -167,17 +167,7 @@ func (q *Queue) worker(idx int) {
 	ws := &workerState{wm: (*q.workerM.Load())[idx]}
 	// Flush the completion buffer on the way out — registered after the
 	// WaitGroup Done above so it runs first: Close's workers.Wait cannot
-	// return while any worker still holds unpublished outcomes. The
-	// runner lane closes with the worker: it is idle whenever the worker
-	// is between jobs, so the close is never mid-run.
-	defer func() {
-		if ws.runner != nil {
-			close(ws.runner)
-		}
-		if ws.deadline != nil {
-			ws.deadline.Stop()
-		}
-	}()
+	// return while any worker still holds unpublished outcomes.
 	defer q.flushCompletions(ws)
 	timer := time.NewTimer(stealPoll)
 	defer timer.Stop()
@@ -543,30 +533,6 @@ func (q *Queue) pickOrdered(p *placement, home *shard) (owner *shard, job *Job, 
 
 // ---- job execution ----
 
-// runState carries one run's outcome from the runner goroutine back to
-// the dequeuing worker: the runner computes res/err, records whether it
-// won the job's terminal transition, and sends on done (buffered, one
-// slot, exactly one receiver per run) — the writes happen-before the
-// send, so the worker reads them race-free after receiving. The
-// winner's outcome is then buffered on the worker's completion buffer
-// rather than settled inline. Each worker reuses one runState across
-// runs (ws.rs); only an abandoned run's state is dropped, because its
-// done signal belongs to the background watcher.
-type runState struct {
-	done chan struct{}
-	res  Result
-	err  error
-	won  bool
-}
-
-// runTask is one algorithm run handed to a worker's persistent runner
-// lane: the job, the reply cell, and the run's start instant.
-type runTask struct {
-	job   *Job
-	rs    *runState
-	start time.Time
-}
-
 // inlineUnitWall is the per-unit wall-clock ceiling the inline gate
 // prices predictions at: an order of magnitude above the slowest
 // per-unit scale ever measured on the tracked engines (sim DP families
@@ -575,14 +541,15 @@ type runTask struct {
 const inlineUnitWall = 10 * time.Microsecond
 
 // runsInline reports whether a job is safe to execute on the dequeuing
-// worker itself instead of the runner lane: the static cost model knows
-// the spec, and even priced at inlineUnitWall with a further 10x margin
-// the predicted run lands under its deadline. Such a run cannot
-// plausibly need the abandonment machinery, so it skips the handoff,
-// the deadline timer and the select entirely; the deadline is enforced
-// after the fact instead. Func jobs and unknown specs always take the
-// runner path, as does any job whose timeout is tight enough that
-// abandonment is a live possibility.
+// worker itself instead of a watched run goroutine: the static cost
+// model knows the spec, and even priced at inlineUnitWall with a further
+// 10x margin the predicted run lands under its deadline. Such a run
+// cannot plausibly need the abandonment machinery, so it skips the
+// goroutine, the deadline timer and the select entirely; the deadline is
+// enforced after the fact instead. Func jobs and unknown specs always
+// take the watched path, as does any job whose timeout is tight enough
+// that abandonment is a live possibility: a run priced at a tenth of its
+// deadline or more, next to which a goroutine and a timer are noise.
 func runsInline(job *Job, timeout time.Duration) bool {
 	if job.fn != nil {
 		return false
@@ -596,36 +563,24 @@ func runsInline(job *Job, timeout time.Duration) bool {
 	return est.Units*float64(inlineUnitWall)*10 < float64(timeout)
 }
 
-// runnerLoop is a worker's persistent runner: it executes algorithm
-// jobs handed over the lane one at a time, so the steady-state run
-// path costs no goroutine spawn. The loop exits when the lane closes —
-// at worker exit, or at detach when the worker abandons a
-// deadline-blown run (the abandoned run finishes first; the worker
-// opens a fresh lane for its next job).
-func (q *Queue) runnerLoop(in chan runTask) {
-	for t := range in {
-		q.executeRun(t)
+// execute performs one run — the func job's fn, or the algorithm on its
+// engine — and times it from start. Only func jobs consume ctx: the
+// engines are not preemptible.
+func execute(ctx context.Context, job *Job, start time.Time) (Result, error) {
+	var res Result
+	var err error
+	if job.fn != nil {
+		err = job.fn(ctx)
+	} else {
+		res.Outcome, err = core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
 	}
+	res.Wall = time.Since(start)
+	return res, err
 }
 
-// executeRun performs one algorithm run and signals the reply cell.
-// The orphan count was taken by the dispatching worker; the deferred
-// chain here mirrors the original per-job runner goroutine: release
-// the pooled-frame touch, then signal done, then drop the orphan.
-func (q *Queue) executeRun(t runTask) {
-	defer q.orphans.Done()
-	job, rs := t.job, t.rs
-	defer func() { rs.done <- struct{}{} }()
-	if job.pooled {
-		defer job.touches.Add(-1)
-	}
-	o, err := core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
-	res := Result{Outcome: o}
-	res.Wall = time.Since(t.start)
-	rs.res, rs.err = res, err
-	// Loses against the worker's deadline finish when the job was
-	// abandoned; the computed result is dropped.
-	rs.won = job.markFinished(res, err, time.Now())
+// deadlineError is the failure of a job that blew its deadline.
+func deadlineError(job *Job, timeout time.Duration) error {
+	return fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
 }
 
 // runJob executes one job under its deadline; owner is the shard the job
@@ -649,8 +604,8 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 	owner.pending.Add(-1)
 	owner.laneUsed[job.class].Add(-1)
 	owner.executed.Add(1)
-	// Written before the runner goroutine exists and before any flush
-	// can run; read only at the completion flush. A steal is a run by a
+	// Written before the run goroutine exists and before any flush can
+	// run; read only at the completion flush. A steal is a run by a
 	// worker homed elsewhere: the origin is the shard it was dequeued
 	// from.
 	job.execShard = homeIdx
@@ -664,11 +619,11 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 	inline := runsInline(job, timeout)
 
 	if job.pooled {
-		// Live references from here: this worker, plus the runner
-		// goroutine below unless the run is inline. Each drops its count
-		// after its last touch, so Batch.Release recycles the frame only
-		// once neither an abandoned run nor a racing deadline loser can
-		// still write to it.
+		// Live references from here: this worker, plus the run goroutine
+		// below unless the run is inline. Each drops its count after its
+		// last touch, so Batch.Release recycles the frame only once
+		// neither an abandoned run nor a racing deadline loser can still
+		// write to it.
 		if inline {
 			job.touches.Store(1)
 		} else {
@@ -686,154 +641,101 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 	if inline {
 		// The fast path: the run is predicted orders of magnitude under
 		// its deadline, so the abandonment machinery cannot plausibly be
-		// needed — execute on this worker with no handoff, no timer and
+		// needed — execute on this worker with no goroutine, no timer and
 		// no select. The deadline still holds, enforced after the fact:
 		// a mispredicted run that does blow it fails exactly like a
 		// held-out deadline run whose orphan budget was exhausted (the
 		// worker rode out the whole run either way).
-		o, err := core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
-		res := Result{Outcome: o}
-		res.Wall = time.Since(start)
-		if res.Wall > timeout {
-			terr := fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
-			if job.markFinished(Result{}, terr, time.Now()) {
-				q.timeouts.Add(1)
-				q.bufferCompletion(ws, job, Result{}, terr, res.Wall, start)
-			}
-			return
+		res, err := execute(context.Background(), job, start)
+		wall := res.Wall
+		timedOut := wall > timeout
+		if timedOut {
+			res, err = Result{}, deadlineError(job, timeout)
 		}
 		if job.markFinished(res, err, time.Now()) {
-			q.bufferCompletion(ws, job, res, err, res.Wall, start)
+			if timedOut {
+				q.timeouts.Add(1)
+			}
+			q.bufferCompletion(ws, job, res, err, wall, start)
 		}
 		return
 	}
 
-	rs := ws.rs
-	if rs == nil {
-		rs = &runState{done: make(chan struct{}, 1)}
-	}
-	ws.rs = nil // in flight; restored on every path where this worker receives done
-
-	// Algorithm jobs never consume a context — the engines are not
-	// preemptible — so they skip context.WithTimeout entirely: the
-	// deadline is the worker's reusable timer, and the run itself goes
-	// to the worker's persistent runner lane. Only func jobs, which do
-	// take a cancellation context, pay for one (and for a one-shot
-	// goroutine: a fn may block past its abandonment, and the lane must
-	// stay free for cheap algorithm runs).
-	var ctxDone <-chan struct{}
-	var timerC <-chan time.Time
+	// The watched path: the run goes to a one-shot goroutine under a
+	// deadline context. It computes res/err, records whether it won the
+	// job's terminal transition, and sends on done (one slot, exactly one
+	// receiver) — the writes happen-before the send, so whoever receives
+	// reads them race-free.
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	done := make(chan struct{}, 1)
+	var res Result
+	var err error
+	var won bool
 	q.orphans.Add(1)
-	if job.fn != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		ctxDone = ctx.Done()
-		go func() {
-			defer q.orphans.Done()
-			defer func() { rs.done <- struct{}{} }()
-			if job.pooled {
-				defer job.touches.Add(-1)
-			}
-			err := job.fn(ctx)
-			res := Result{Wall: time.Since(start)}
-			rs.res, rs.err = res, err
-			// Loses against the worker's deadline finish when the job
-			// was abandoned; the computed result is dropped.
-			rs.won = job.markFinished(res, err, time.Now())
-		}()
-	} else {
-		if ws.deadline == nil {
-			ws.deadline = time.NewTimer(timeout)
-		} else {
-			ws.deadline.Reset(timeout)
+	go func() {
+		defer q.orphans.Done()
+		defer func() { done <- struct{}{} }()
+		if job.pooled {
+			defer job.touches.Add(-1)
 		}
-		timerC = ws.deadline.C
-		if ws.runner == nil {
-			// One slot so the dispatch never blocks (and never direct-
-			// hands the P to the runner before this worker reaches its
-			// deadline select); the protocol below keeps at most one
-			// task in flight per lane.
-			ws.runner = make(chan runTask, 1)
-			go q.runnerLoop(ws.runner)
-		}
-		ws.runner <- runTask{job: job, rs: rs, start: start}
-	}
+		res, err = execute(ctx, job, start)
+		// Loses against the worker's deadline finish when the job was
+		// abandoned; the computed result is dropped.
+		won = job.markFinished(res, err, time.Now())
+	}()
 
-	deadlined := false
 	select {
-	case <-rs.done:
-	case <-ctxDone:
-		deadlined = true
-	case <-timerC:
-		deadlined = true
+	case <-done:
+		if won {
+			q.bufferCompletion(ws, job, res, err, res.Wall, start)
+		}
+		return
+	case <-ctx.Done():
 	}
-	if !deadlined {
-		if timerC != nil {
-			ws.deadline.Stop()
+	terr := deadlineError(job, timeout)
+	if !job.markFinished(Result{}, terr, time.Now()) {
+		// The run finished in the same instant and won; adopt its outcome
+		// once done publishes the fields.
+		<-done
+		if won {
+			q.bufferCompletion(ws, job, res, err, res.Wall, start)
 		}
-		ws.rs = rs
-		if rs.won {
-			q.bufferCompletion(ws, job, rs.res, rs.err, rs.res.Wall, start)
+		return
+	}
+	q.timeouts.Add(1)
+	q.bufferCompletion(ws, job, Result{}, terr, time.Since(start), start)
+	// The orphan budget: a worker may abandon a deadline-blown run
+	// (leaving it to finish in the background) only while fewer than 2×
+	// the current pool's runs are already abandoned, so hostile timeout
+	// traffic cannot accumulate unbounded concurrent runs. The abandoned
+	// gauge doubles as the budget counter — claimed by CAS so a
+	// budget-exhausted worker never inflates the gauge even transiently —
+	// and the limit reads the live table, so a pool grown by Resize keeps
+	// its per-worker abandonment headroom.
+	limit := int64(2 * q.place.Load().workers)
+	for {
+		cur := q.abandonedG.Load()
+		if cur >= limit {
+			break
 		}
-	} else {
-		err := fmt.Errorf("jobqueue: job %s exceeded its %v deadline: %w", job.Name, timeout, context.DeadlineExceeded)
-		if !job.markFinished(Result{}, err, time.Now()) {
-			// The runner finished in the same instant and won; adopt its
-			// outcome once rs.done publishes the fields.
-			<-rs.done
-			ws.rs = rs
-			if rs.won {
-				q.bufferCompletion(ws, job, rs.res, rs.err, rs.res.Wall, start)
-			}
-			return
-		}
-		q.timeouts.Add(1)
-		q.bufferCompletion(ws, job, Result{}, err, time.Since(start), start)
-		// The orphan budget: a worker may abandon a deadline-blown run
-		// (leaving it to finish in the background) only while fewer than
-		// 2× the current pool's runs are already abandoned, so hostile
-		// timeout traffic cannot accumulate unbounded concurrent runs.
-		// The abandoned gauge doubles as the budget counter — claimed by
-		// CAS so a budget-exhausted worker never inflates the gauge even
-		// transiently — and the limit reads the live table, so a pool
-		// grown by Resize keeps its per-worker abandonment headroom.
-		limit := int64(2 * q.place.Load().workers)
-		abandoned := false
-		for {
-			cur := q.abandonedG.Load()
-			if cur >= limit {
-				break
-			}
-			if q.abandonedG.CompareAndSwap(cur, cur+1) {
-				abandoned = true
-				break
-			}
-		}
-		if abandoned {
+		if q.abandonedG.CompareAndSwap(cur, cur+1) {
 			// Budget claimed: abandon the run and free this worker. A
-			// watcher returns the slot when the run drains; the runState
-			// goes with it, and an abandoned algorithm run detaches the
-			// runner lane too — its goroutine finishes the blown run and
-			// exits, and the next dispatch opens a fresh lane.
-			if job.fn == nil && ws.runner != nil {
-				close(ws.runner)
-				ws.runner = nil
-			}
+			// watcher returns the slot when the run drains.
 			q.orphans.Add(1)
 			go func() {
 				defer q.orphans.Done()
-				<-rs.done
+				<-done
 				q.abandonedG.Add(-1)
 			}()
-		} else {
-			// Orphan budget exhausted: hold this worker until the run
-			// completes so deadline abuse cannot stack up unbounded
-			// concurrent runs. The wait can span the whole run; publish
-			// the buffered completions (this timeout included) first so
-			// their waiters are not held hostage to the abandoned run.
-			q.flushCompletions(ws)
-			<-rs.done
-			ws.rs = rs
+			return
 		}
 	}
+	// Orphan budget exhausted: hold this worker until the run completes so
+	// deadline abuse cannot stack up unbounded concurrent runs. The wait
+	// can span the whole run; publish the buffered completions (this
+	// timeout included) first so their waiters are not held hostage to the
+	// abandoned run.
+	q.flushCompletions(ws)
+	<-done
 }
