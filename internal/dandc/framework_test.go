@@ -97,7 +97,7 @@ func TestFrameworkMergesort(t *testing.T) {
 			// Merge three sorted runs pairwise, the second merge in
 			// parallel chunks.
 			tmp := make([]int, len(parts[0])+len(parts[1]))
-			mergeInto(parts[0], parts[1], tmp)
+			Merge(parts[0], parts[1], tmp)
 			out := make([]int, len(tmp)+len(parts[2]))
 			parallelMerge(rt, tmp, parts[2], out, 64)
 			return out

@@ -27,7 +27,7 @@ func msortSeq(a, tmp []int) {
 	mid := len(a) / 2
 	msortSeq(a[:mid], tmp[:mid])
 	msortSeq(a[mid:], tmp[mid:])
-	mergeInto(a[:mid], a[mid:], tmp)
+	Merge(a[:mid], a[mid:], tmp)
 	copy(a, tmp)
 }
 
@@ -71,26 +71,40 @@ func msortPar(rt *palrt.RT, a, tmp []int, grain int, parMerge bool) {
 	if parMerge {
 		parallelMerge(rt, a[:mid], a[mid:], tmp, grain)
 	} else {
-		mergeInto(a[:mid], a[mid:], tmp)
+		Merge(a[:mid], a[mid:], tmp)
 	}
 	copy(a, tmp)
 }
 
-// mergeInto merges sorted x and y into out (len(out) == len(x)+len(y)).
-func mergeInto(x, y, out []int) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		if y[j] < x[i] {
-			out[k] = y[j]
-			j++
-		} else {
-			out[k] = x[i]
-			i++
+// Merge merges sorted x and y into out[:len(x)+len(y)]; equal keys keep x
+// before y. It is the O(n) combine step of every mergesort here
+// — the "+ n" of T(n) = 2T(n/2) + n, paid at every recursion level — so it
+// is written branch-free: each step stores min(x[i], y[j]) and advances
+// exactly one side by the 0/1 result of the comparison, which the compiler
+// lowers to SETcc/CMOV instead of a data-dependent jump that mispredicts
+// about half the time on random keys. The only branches left are the two
+// exhaustion tests, taken once per call.
+func Merge(x, y, out []int) {
+	out = out[:len(x)+len(y)]
+	i, j := 0, 0
+	for k := range out {
+		if i == len(x) {
+			copy(out[k:], y[j:])
+			return
 		}
-		k++
+		if j == len(y) {
+			copy(out[k:], x[i:])
+			return
+		}
+		a, b := x[i], y[j]
+		t := 0
+		if b < a {
+			t = 1
+		}
+		out[k] = min(a, b)
+		i += 1 - t
+		j += t
 	}
-	copy(out[k:], x[i:])
-	copy(out[k+len(x)-i:], y[j:])
 }
 
 // parallelMerge merges sorted x and y into out using the classic
@@ -99,7 +113,7 @@ func mergeInto(x, y, out []int) {
 // Span O(log² n), work O(n) — an optimal-speedup merge for p = O(log n).
 func parallelMerge(rt *palrt.RT, x, y, out []int, grain int) {
 	if len(x)+len(y) <= grain {
-		mergeInto(x, y, out)
+		Merge(x, y, out)
 		return
 	}
 	if len(x) < len(y) {

@@ -72,7 +72,8 @@ func A1(quick bool) Report {
 }
 
 // permitMergeSort is mergesort over the permit-channel baseline runtime,
-// with the same grain as dandc.MergeSort's parallel recursion.
+// with the same grain and merge kernel as dandc.MergeSort's parallel
+// recursion, so A1's wall-time column compares policies on one kernel.
 func permitMergeSort(rt *palrt.PermitRT, a, tmp []int) {
 	if len(a) <= 1<<11 {
 		dandc.MergeSortSeq(a)
@@ -83,7 +84,8 @@ func permitMergeSort(rt *palrt.PermitRT, a, tmp []int) {
 		func() { permitMergeSort(rt, a[:mid], tmp[:mid]) },
 		func() { permitMergeSort(rt, a[mid:], tmp[mid:]) },
 	)
-	mergeInto(a, tmp, mid)
+	dandc.Merge(a[:mid], a[mid:], tmp)
+	copy(a, tmp)
 }
 
 func naiveMergeSort(a, tmp []int) {
@@ -96,24 +98,7 @@ func naiveMergeSort(a, tmp []int) {
 		func() { naiveMergeSort(a[:mid], tmp[:mid]) },
 		func() { naiveMergeSort(a[mid:], tmp[mid:]) },
 	)
-	mergeInto(a, tmp, mid)
-}
-
-// mergeInto merges the sorted halves a[:mid] and a[mid:] through tmp.
-func mergeInto(a, tmp []int, mid int) {
-	i, j, k := 0, mid, 0
-	for i < mid && j < len(a) {
-		if a[j] < a[i] {
-			tmp[k] = a[j]
-			j++
-		} else {
-			tmp[k] = a[i]
-			i++
-		}
-		k++
-	}
-	copy(tmp[k:], a[i:mid])
-	copy(tmp[k+mid-i:], a[j:])
+	dandc.Merge(a[:mid], a[mid:], tmp)
 	copy(a, tmp)
 }
 

@@ -316,6 +316,45 @@ func overrunCases(hold time.Duration) []overrunCase {
 	}
 }
 
+// TestNoSuccessPastDeadline: a watched run that returns after its
+// deadline must fail even when it beats the worker's deadline timer to
+// the job's terminal transition (a watcher that wakes late). The func
+// jobs ignore ctx and spin around a 1ms deadline, so both orders occur;
+// the test asserts the invariant, not how often each order happens.
+func TestNoSuccessPastDeadline(t *testing.T) {
+	const timeout = time.Millisecond
+	q := New(Config{Workers: 2, DefaultTimeout: timeout})
+	var jobs []*Job
+	for i := 0; i < 60; i++ {
+		spin := 700*time.Microsecond + time.Duration(i%7)*100*time.Microsecond
+		job, err := q.SubmitFunc(fmt.Sprintf("spin-%d", i), func(context.Context) error {
+			for start := time.Now(); time.Since(start) < spin; {
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	var failed int64
+	for _, job := range jobs {
+		res, err := job.Wait(context.Background())
+		switch {
+		case err == nil && res.Wall > timeout:
+			t.Errorf("%s succeeded with wall %v past its %v deadline", job.Name, res.Wall, timeout)
+		case err != nil && !errors.Is(err, context.DeadlineExceeded):
+			t.Errorf("%s: err = %v, want nil or DeadlineExceeded", job.Name, err)
+		case err != nil:
+			failed++
+		}
+	}
+	q.Close()
+	if m := q.Snapshot(); m.Timeouts != failed {
+		t.Errorf("timeouts = %d, want %d (one per job failed on its deadline)", m.Timeouts, failed)
+	}
+}
+
 // TestDeadlineAbandonsRun: a run that blows its deadline fails the job
 // at once and is abandoned to finish in the background (the orphan
 // budget has room), and Close waits for it.

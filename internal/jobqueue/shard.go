@@ -565,17 +565,24 @@ func runsInline(job *Job, timeout time.Duration) bool {
 
 // execute performs one run — the func job's fn, or the algorithm on its
 // engine — and times it from start. Only func jobs consume ctx: the
-// engines are not preemptible.
-func execute(ctx context.Context, job *Job, start time.Time) (Result, error) {
-	var res Result
-	var err error
+// engines are not preemptible. The deadline holds exactly, enforced after
+// the fact: a run whose wall time exceeds timeout fails with
+// deadlineError however it ended, so no job reports success past its
+// deadline (the inline path has no watcher, and the watched path's
+// watcher can wake late). wall is the run's own time either way; the
+// caller counts wall > timeout as a timeout.
+func execute(ctx context.Context, job *Job, start time.Time, timeout time.Duration) (res Result, wall time.Duration, err error) {
 	if job.fn != nil {
 		err = job.fn(ctx)
 	} else {
 		res.Outcome, err = core.RunAlgorithm(job.Spec.Algorithm, job.Spec.Engine, job.Spec.N, job.Spec.P, job.Spec.Seed)
 	}
-	res.Wall = time.Since(start)
-	return res, err
+	wall = time.Since(start)
+	if wall > timeout {
+		return Result{}, wall, deadlineError(job, timeout)
+	}
+	res.Wall = wall
+	return res, wall, err
 }
 
 // deadlineError is the failure of a job that blew its deadline.
@@ -642,18 +649,13 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 		// The fast path: the run is predicted orders of magnitude under
 		// its deadline, so the abandonment machinery cannot plausibly be
 		// needed — execute on this worker with no goroutine, no timer and
-		// no select. The deadline still holds, enforced after the fact:
-		// a mispredicted run that does blow it fails exactly like a
-		// held-out deadline run whose orphan budget was exhausted (the
+		// no select. The deadline still holds, enforced after the fact by
+		// execute: a mispredicted run that does blow it fails exactly like
+		// a held-out deadline run whose orphan budget was exhausted (the
 		// worker rode out the whole run either way).
-		res, err := execute(context.Background(), job, start)
-		wall := res.Wall
-		timedOut := wall > timeout
-		if timedOut {
-			res, err = Result{}, deadlineError(job, timeout)
-		}
+		res, wall, err := execute(context.Background(), job, start, timeout)
 		if job.markFinished(res, err, time.Now()) {
-			if timedOut {
+			if wall > timeout {
 				q.timeouts.Add(1)
 			}
 			q.bufferCompletion(ws, job, res, err, wall, start)
@@ -670,6 +672,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 	defer cancel()
 	done := make(chan struct{}, 1)
 	var res Result
+	var wall time.Duration
 	var err error
 	var won bool
 	q.orphans.Add(1)
@@ -679,7 +682,7 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 		if job.pooled {
 			defer job.touches.Add(-1)
 		}
-		res, err = execute(ctx, job, start)
+		res, wall, err = execute(ctx, job, start, timeout)
 		// Loses against the worker's deadline finish when the job was
 		// abandoned; the computed result is dropped.
 		won = job.markFinished(res, err, time.Now())
@@ -687,32 +690,38 @@ func (q *Queue) runJob(owner *shard, homeIdx int, job *Job, ws *workerState) {
 
 	select {
 	case <-done:
-		if won {
-			q.bufferCompletion(ws, job, res, err, res.Wall, start)
-		}
-		return
 	case <-ctx.Done():
-	}
-	terr := deadlineError(job, timeout)
-	if !job.markFinished(Result{}, terr, time.Now()) {
+		terr := deadlineError(job, timeout)
+		if job.markFinished(Result{}, terr, time.Now()) {
+			q.timeouts.Add(1)
+			q.bufferCompletion(ws, job, Result{}, terr, time.Since(start), start)
+			q.abandonOrWait(ws, done)
+			return
+		}
 		// The run finished in the same instant and won; adopt its outcome
 		// once done publishes the fields.
 		<-done
-		if won {
-			q.bufferCompletion(ws, job, res, err, res.Wall, start)
-		}
-		return
 	}
-	q.timeouts.Add(1)
-	q.bufferCompletion(ws, job, Result{}, terr, time.Since(start), start)
-	// The orphan budget: a worker may abandon a deadline-blown run
-	// (leaving it to finish in the background) only while fewer than 2×
-	// the current pool's runs are already abandoned, so hostile timeout
-	// traffic cannot accumulate unbounded concurrent runs. The abandoned
-	// gauge doubles as the budget counter — claimed by CAS so a
-	// budget-exhausted worker never inflates the gauge even transiently —
-	// and the limit reads the live table, so a pool grown by Resize keeps
-	// its per-worker abandonment headroom.
+	if won {
+		// A run that won but finished past its deadline (the watcher woke
+		// late) already carries deadlineError from execute.
+		if wall > timeout {
+			q.timeouts.Add(1)
+		}
+		q.bufferCompletion(ws, job, res, err, wall, start)
+	}
+}
+
+// abandonOrWait disposes of a deadline-blown run whose job the worker has
+// already failed; done receives once the run returns. The orphan budget: a
+// worker may abandon the run (leaving it to finish in the background) only
+// while fewer than 2× the current pool's runs are already abandoned, so
+// hostile timeout traffic cannot accumulate unbounded concurrent runs. The
+// abandoned gauge doubles as the budget counter — claimed by CAS so a
+// budget-exhausted worker never inflates the gauge even transiently — and
+// the limit reads the live table, so a pool grown by Resize keeps its
+// per-worker abandonment headroom.
+func (q *Queue) abandonOrWait(ws *workerState, done <-chan struct{}) {
 	limit := int64(2 * q.place.Load().workers)
 	for {
 		cur := q.abandonedG.Load()

@@ -17,9 +17,11 @@ package scenario
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
+	"lopram/internal/core"
 	"lopram/internal/jobqueue"
 	"lopram/internal/jobtrace"
 )
@@ -118,9 +120,14 @@ func meanExecutedWait(t *testing.T, recs []jobtrace.Record) float64 {
 // cheap work first and the giants absorb the wait instead.
 func TestHypothesisSJFBeatsFCFSMeanWait(t *testing.T) {
 	base := Spec{
-		Name:      "sjf-heavy-tail",
-		Jobs:      24,
-		Clients:   8,
+		Name: "sjf-heavy-tail",
+		Jobs: 24,
+		// The whole stream in flight at once, so a backlog exists for
+		// the policies to order. With fewer clients than jobs, the
+		// small jobs drain the queue faster than clients resubmit, and
+		// whether a sort arrives to an empty queue (then SJF must run
+		// it, exactly as FCFS does) is a race of client wakeups.
+		Clients:   24,
 		SeedSpace: 1 << 20,
 		Mix: []MixEntry{
 			{Algorithm: "reduce", Engine: "palrt", Weight: 6, MinN: 64, MaxN: 1 << 10},
@@ -173,6 +180,21 @@ func deadlineMisses(t *testing.T, recs []jobtrace.Record, deadlines map[string]t
 	return misses
 }
 
+// serialSortWall is the median wall time of n-element palrt mergesorts run
+// one at a time (after one warmup run) on this host: the unit that
+// host-relative deadlines are set in.
+func serialSortWall(n int) time.Duration {
+	core.RunAlgorithm("mergesort", core.EnginePalrt, n, 0, 0)
+	walls := make([]time.Duration, 7)
+	for i := range walls {
+		start := time.Now()
+		core.RunAlgorithm("mergesort", core.EnginePalrt, n, 0, uint64(i+1))
+		walls[i] = time.Since(start)
+	}
+	slices.Sort(walls)
+	return walls[len(walls)/2]
+}
+
 // TestHypothesisEDFBeatsFCFSAndDefaultOnMisses: when urgent traffic
 // (tight per-class deadline, tiny jobs) shares one worker with relaxed
 // traffic (loose deadline, jobs two orders heavier), EDF must produce
@@ -181,9 +203,19 @@ func deadlineMisses(t *testing.T, recs []jobtrace.Record, deadlines map[string]t
 // the full backlog; the native DWRR gives the urgent class only its
 // weight share; EDF serves whatever deadline expires first, so urgent
 // jobs overtake every queued sort and at most await one residual run.
+//
+// The urgent deadline is set in units of this host's sort time, not in
+// milliseconds, so a faster or slower host (or engine) moves the numbers
+// and not the inequalities: 1.5× the median serial run of the relaxed
+// class's largest sort. That clears EDF's worst case (one residual sort)
+// and sits well under the FCFS backlog (up to ~Clients/2 queued sorts)
+// and the native discipline's (one sort per queued urgent job).
 func TestHypothesisEDFBeatsFCFSAndDefaultOnMisses(t *testing.T) {
-	const urgentDeadline = 75 * time.Millisecond
+	const maxSortN = 1 << 18
+	sortWall := serialSortWall(maxSortN)
+	urgentDeadline := sortWall * 3 / 2
 	const relaxedDeadline = 30 * time.Second
+	t.Logf("median serial palrt mergesort n=%d: %v; urgent deadline %v", maxSortN, sortWall, urgentDeadline)
 	deadlines := map[string]time.Duration{"urgent": urgentDeadline, "relaxed": relaxedDeadline}
 	base := Spec{
 		Name:      "deadline-mix",
@@ -200,7 +232,7 @@ func TestHypothesisEDFBeatsFCFSAndDefaultOnMisses(t *testing.T) {
 		},
 		Mix: []MixEntry{
 			{Algorithm: "reduce", Engine: "sim", Weight: 1, MinN: 64, MaxN: 256, Priority: "urgent"},
-			{Algorithm: "mergesort", Engine: "palrt", Weight: 1, MinN: 1 << 17, MaxN: 1 << 18, Priority: "relaxed"},
+			{Algorithm: "mergesort", Engine: "palrt", Weight: 1, MinN: 1 << 17, MaxN: maxSortN, Priority: "relaxed"},
 		},
 		Workers: 1,
 		Shards:  1,
@@ -210,6 +242,23 @@ func TestHypothesisEDFBeatsFCFSAndDefaultOnMisses(t *testing.T) {
 			sp := deepCopy(base)
 			sp.Seed = seed
 			_, recs := runPolicyReplay(t, sp, policy)
+			// Misses must come from queueing, not from the urgent jobs'
+			// own runs: their median service time stays far below the
+			// deadline (the median, so one run preempted by the host does
+			// not decide it).
+			var runs []float64
+			for _, r := range recs {
+				if r.Class == "urgent" && r.Executed() {
+					runs = append(runs, r.RunMS)
+				}
+			}
+			slices.Sort(runs)
+			if len(runs) == 0 {
+				t.Fatalf("seed %d %s: no urgent job executed", seed, policy)
+			}
+			if med := time.Duration(runs[len(runs)/2] * float64(time.Millisecond)); med > urgentDeadline/10 {
+				t.Fatalf("seed %d %s: urgent median service time %v, not far below the %v deadline", seed, policy, med, urgentDeadline)
+			}
 			return deadlineMisses(t, recs, deadlines)
 		}
 		edf, fcfs, def := missesOf("edf"), missesOf("fcfs"), missesOf("default")
