@@ -79,6 +79,9 @@ type algorithm struct {
 	// control: the simulator and the Brent emulator do Θ(n)–Θ(n²) model
 	// bookkeeping per run, so unbounded n is a denial of service).
 	maxN map[Engine]int
+	// minN raises an engine's smallest admissible input size above 1
+	// where the algorithm has no answer below it.
+	minN map[Engine]int
 }
 
 // Algorithms returns the catalogue's algorithm names, sorted.
@@ -133,8 +136,8 @@ func ValidateSpec(name string, engine Engine, n, p int) error {
 	if _, ok := a.engines[engine]; !ok {
 		return fmt.Errorf("algorithm %q does not support engine %q (supported: %v)", name, engine, EnginesFor(name))
 	}
-	if n < 1 {
-		return fmt.Errorf("n must be >= 1, got %d", n)
+	if minN := max(1, a.minN[engine]); n < minN {
+		return fmt.Errorf("n must be >= %d for %q on the %s engine, got %d", minN, name, engine, n)
 	}
 	if maxN := a.maxN[engine]; n > maxN {
 		return fmt.Errorf("n=%d exceeds the %s engine's limit %d for %q", n, engine, maxN, name)
@@ -448,6 +451,8 @@ var catalogue = map[string]algorithm{
 			}),
 		},
 		maxN: map[Engine]int{EngineSim: 1 << 30, EnginePalrt: 1 << 20},
+		// A single point has no pair.
+		minN: map[Engine]int{EnginePalrt: 2},
 	},
 	"maxsubarray": {
 		engines: map[Engine]runner{

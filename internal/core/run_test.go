@@ -34,6 +34,37 @@ func TestCatalogueValidation(t *testing.T) {
 	}
 }
 
+// TestTinyInputsNeverPanic runs every catalogue (algorithm, engine) pair
+// at n = 1, 2 and 3: a spec ValidateSpec admits must run without
+// panicking, since a panic in a run takes the whole daemon down.
+func TestTinyInputsNeverPanic(t *testing.T) {
+	for _, name := range Algorithms() {
+		for _, e := range EnginesFor(name) {
+			for n := 1; n <= 3; n++ {
+				if err := ValidateSpec(name, e, n, 0); err != nil {
+					continue
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s/%s n=%d: admitted spec panicked: %v", name, e, n, r)
+						}
+					}()
+					if _, err := RunAlgorithm(name, e, n, 0, 1); err != nil {
+						t.Errorf("%s/%s n=%d: admitted spec failed: %v", name, e, n, err)
+					}
+				}()
+			}
+		}
+	}
+	if err := ValidateSpec("closestpair", EnginePalrt, 1, 0); err == nil {
+		t.Error("closestpair/palrt n=1 admitted: a single point has no pair")
+	}
+	if err := ValidateSpec("closestpair", EnginePalrt, 2, 0); err != nil {
+		t.Errorf("closestpair/palrt n=2 rejected: %v", err)
+	}
+}
+
 // TestRunDeterminism: same spec, same outcome — the property the result
 // cache depends on.
 func TestRunDeterminism(t *testing.T) {

@@ -202,10 +202,7 @@ func TestClosestPairMatchesBruteForce(t *testing.T) {
 
 // cpPar forces the parallel path with a tiny grain.
 func cpPar(rt *palrt.RT, pts []workload.Point) float64 {
-	px := preparePoints(pts)
-	py := append([]workload.Point(nil), px...)
-	sortByY(py)
-	return cpRec(rt, px, py, 4)
+	return closestPair(rt, pts, 4)
 }
 
 func TestClosestPairClusteredPoints(t *testing.T) {

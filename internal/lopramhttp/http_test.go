@@ -308,3 +308,25 @@ func TestSubmitWait(t *testing.T) {
 		t.Fatalf("view = %+v, want done with result", view)
 	}
 }
+
+// TestSubmitClosestPairSinglePoint: a closestpair palrt job of one point
+// has no answer, so it is a 400 bad_request at submit instead of a run
+// that panics the daemon; the server keeps serving afterwards.
+func TestSubmitClosestPairSinglePoint(t *testing.T) {
+	srv := testServer(t, jobqueue.Config{Workers: 1})
+	resp := postJSON(t, srv.URL+"/v1/jobs?wait=1", `{"algorithm":"closestpair","n":1,"engine":"palrt","seed":1}`)
+	var env struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Code != "bad_request" || env.Error == "" {
+		t.Fatalf("status %d code %q error %q, want 400 bad_request", resp.StatusCode, env.Code, env.Error)
+	}
+	ok := postJSON(t, srv.URL+"/v1/jobs?wait=1", `{"algorithm":"closestpair","n":2,"engine":"palrt","seed":1}`)
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("n=2 after the rejected n=1: status %d, want 200", ok.StatusCode)
+	}
+}

@@ -2,6 +2,7 @@ package palrt
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -156,6 +157,62 @@ func TestFramePoolReuse(t *testing.T) {
 	// and join state must all come from the pool.
 	if allocs > 2 {
 		t.Errorf("Do(noop, noop) allocates %.1f objects/op, want <= 2 (arena not pooling)", allocs)
+	}
+}
+
+// TestSpawnFreeRunAllocatesOnlyRT: the deques and wake channel are built on
+// the first offer, so a runtime whose computation never offers a child —
+// a single-child block, a loop within its grain — costs one allocation,
+// the RT itself.
+func TestSpawnFreeRunAllocatesOnlyRT(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var sum int
+	leaf := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum += i
+		}
+	}
+	child := func() { sum++ }
+	var rt *RT
+	allocs := testing.AllocsPerRun(100, func() {
+		rt = New(8)
+		rt.Do(child)
+		rt.For(0, 16, 16, leaf)
+	})
+	if allocs != 1 {
+		t.Errorf("New(8) and a spawn-free computation make %v allocations, want 1", allocs)
+	}
+	if s := rt.StatsSnapshot(); s.Offered() != 0 {
+		t.Errorf("spawn-free computation offered %d children", s.Offered())
+	}
+}
+
+// TestConcurrentFirstOffers: goroutines sharing a fresh runtime race to
+// make its first offer, so they race to build its deques; every child of
+// every block and every Go must still run exactly once.
+func TestConcurrentFirstOffers(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		rt := New(4)
+		var count atomic.Int64
+		inc := func() { count.Add(1) }
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if g%2 == 0 {
+					rt.Do(inc, inc, inc)
+				} else {
+					rt.Go(inc).Wait()
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := count.Load(), int64(4*3+4); got != want {
+			t.Fatalf("round %d: ran %d children, want %d", round, got, want)
+		}
 	}
 }
 

@@ -26,7 +26,9 @@
 // benchmarks), no goroutine is created per spawned child: at most p-1
 // worker goroutines serve all claims, parking and retiring when the
 // machine goes idle, and per-spawn bookkeeping comes from a sync.Pool task
-// arena, so the steady-state spawn path allocates nothing.
+// arena, so the steady-state spawn path allocates nothing. The deques
+// themselves are built on a runtime's first offer, so a runtime that never
+// offers a child allocates nothing but itself.
 package palrt
 
 import (
@@ -39,16 +41,23 @@ import (
 // computation (or reuse across computations; idle workers retire on their
 // own, so there is nothing to close). The zero value is not usable; call
 // New.
+//
+// The scheduling state — one deque per processor and the workers' wake
+// channel — is built on the runtime's first offer, in Do or Go. Workers
+// and Join touch it only after that offer, so a run that never offers a
+// child (p = 1, or a computation that never splits) allocates nothing
+// for scheduling.
 type RT struct {
 	p      int
-	deques []deque // one inbox per logical processor
+	sched  sync.Once
+	deques []deque // one inbox per logical processor, built by sched
 	rotor  atomic.Uint32
 	// pending is the pushed-but-unclaimed task hint; see claim.
 	pending   atomic.Int64
 	live      atomic.Int32 // running worker goroutines, always <= p-1
 	parked    atomic.Int32
 	workerSeq atomic.Uint32
-	wake      chan struct{}
+	wake      chan struct{} // built by sched
 
 	spawned        atomic.Int64 // children claimed by a worker
 	stolen         atomic.Int64 // of those, claimed from a non-owned deque
@@ -63,11 +72,24 @@ type RT struct {
 // New returns a runtime with p processors. p < 1 is treated as 1.
 // The runtime does not call runtime.GOMAXPROCS; the worker budget alone
 // bounds parallelism, so a single process can host several runtimes.
+// New allocates only the RT itself; the deques come with the first offer.
 func New(p int) *RT {
 	if p < 1 {
 		p = 1
 	}
-	return &RT{p: p, deques: make([]deque, p), wake: make(chan struct{}, p)}
+	return &RT{p: p}
+}
+
+// offerTarget builds the scheduling state on the runtime's first offer and
+// picks the deque the next offer goes to.
+func (rt *RT) offerTarget() int {
+	rt.sched.Do(rt.buildSched)
+	return int(rt.rotor.Add(1) % uint32(rt.p))
+}
+
+func (rt *RT) buildSched() {
+	rt.deques = make([]deque, rt.p)
+	rt.wake = make(chan struct{}, rt.p)
 }
 
 // NewHost returns a runtime sized to the host: min(maxP, GOMAXPROCS).
@@ -155,7 +177,7 @@ func (rt *RT) Do(children ...func()) {
 		t.frame = f
 		t.state.Store(taskPending)
 	}
-	target := int(rt.rotor.Add(1) % uint32(rt.p))
+	target := rt.offerTarget()
 	pushed := rt.deques[target].pushBatch(f.tasks)
 	if pushed > 0 {
 		rt.pending.Add(int64(pushed))
@@ -205,7 +227,7 @@ func (rt *RT) Go(child func()) *Join {
 	t.fn = child
 	t.frame = f
 	t.state.Store(taskPending)
-	target := int(rt.rotor.Add(1) % uint32(rt.p))
+	target := rt.offerTarget()
 	if rt.deques[target].pushBatch(f.tasks) == 0 {
 		rt.addInlined(1)
 		t.fn = nil
